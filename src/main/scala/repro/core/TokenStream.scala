@@ -23,8 +23,13 @@ final class TokenStream(query: Array[String], index: SimilarityIndex, alpha: Dou
   private val lists: Array[Array[(String, Double)]] =
     query.map(q => index.neighbors(q, alpha))
 
-  private val pq = mutable.PriorityQueue.empty[Entry](
-    Ordering.by[Entry, (Double, Int)](e => (e.sim, -e.qIdx)))
+  // Highest similarity first, then lowest query position.
+  private val pq = mutable.PriorityQueue.empty[Entry](new Ordering[Entry] {
+    def compare(a: Entry, b: Entry): Int = {
+      val c = java.lang.Double.compare(a.sim, b.sim)
+      if (c != 0) c else Integer.compare(b.qIdx, a.qIdx)
+    }
+  })
 
   private var emitted = 0L
 

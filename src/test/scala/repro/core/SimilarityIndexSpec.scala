@@ -99,6 +99,63 @@ class SimilarityIndexSpec extends AnyFunSuite {
     assert(idx.neighbors("missing", 0.1).isEmpty)
   }
 
+  test("precomputed index equals filter-then-sort of a shuffled list") {
+    val rng = new Random(24)
+    for (_ <- 0 until 50) {
+      // Coarse similarities, so ties by similarity are common.
+      val list = (0 until rng.nextInt(20)).map(i => (s"t$i", rng.nextInt(11) / 10.0))
+      val shuffled = rng.shuffle(list).toArray
+      val idx = new PrecomputedSimilarityIndex(Map("q" -> shuffled))
+      for (alpha <- Seq(0.05, 0.3, 0.5, 0.8, 1.0)) {
+        val expected = SimilarityIndex.sorted(shuffled.filter(_._2 >= alpha))
+        assert(idx.neighbors("q", alpha).toSeq == expected.toSeq)
+      }
+    }
+  }
+
+  /** `(token, raw bits of the similarity)`, so doubles compare bit for bit. */
+  private def bits(xs: Array[(String, Double)]): Seq[(String, Long)] =
+    xs.toSeq.map { case (t, s) => (t, java.lang.Double.doubleToRawLongBits(s)) }
+
+  test("embedding probe is bit-identical to sim over the vocabulary") {
+    val rng = new Random(25)
+    for (round <- 0 until 200) {
+      val dim = 1 + rng.nextInt(13)
+      val nVocab = rng.nextInt(4) + 4 * rng.nextInt(8) // tails of 0-3 rows
+      val emb = clusteredEmbeddings(rng, 1 + rng.nextInt(4), 1 + nVocab, dim)
+      // Vocabulary: embedded tokens, tokens without a vector and a zero vector.
+      val oov = Seq("oov_a", "oov_b")
+      val raw = emb + ("zero" -> Array.fill(dim)(0f))
+      val pool = rng.shuffle(emb.keys.toSeq ++ oov :+ "zero")
+      val vocab0 = pool.take(nVocab).toArray
+      val vocab = if (round % 2 == 0) vocab0.sorted else vocab0
+      val simFn = new EmbeddingCosineSimilarity(raw)
+      val idx = new BruteForceSimilarityIndex(vocab, simFn)
+      // Queries: vocabulary tokens, embedded tokens outside the vocabulary,
+      // OOV tokens (in the vocabulary or not) and an absent token.
+      val queries = (pool ++ Seq("ghost")).distinct
+      for (q <- queries; alpha <- Seq(0.05, 0.5, 0.8, 0.95, 1.0)) {
+        val expected = SimilarityIndex.sorted(
+          vocab.map(t => (t, simFn.sim(q, t))).filter(_._2 >= alpha))
+        assert(bits(idx.neighbors(q, alpha)) == bits(expected),
+          s"round $round dim $dim |vocab| ${vocab.length} q $q alpha $alpha")
+      }
+      // `sim` itself: the sequential clamped dot product of the normalized
+      // vectors, as computed from the raw map.
+      val unit = emb.map { case (t, v) =>
+        val n = math.sqrt(v.map(x => x.toDouble * x).sum)
+        t -> v.map(x => (x / n).toFloat)
+      }
+      for (a <- emb.keys; b <- emb.keys if a != b) {
+        var s = 0.0
+        for (d <- 0 until dim) s += unit(a)(d).toDouble * unit(b)(d)
+        val want = math.min(1.0, math.max(0.0, s))
+        assert(java.lang.Double.doubleToRawLongBits(simFn.sim(a, b)) ==
+          java.lang.Double.doubleToRawLongBits(want))
+      }
+    }
+  }
+
   test("q-gram prefix index agrees with brute force (completeness + exactness)") {
     val j = new JaccardQGramSimilarity(3)
     val rng = new Random(23)

@@ -60,9 +60,23 @@ class SimilaritySpec extends AnyFunSuite {
 
   test("zero vectors are treated as OOV") {
     val f = new EmbeddingCosineSimilarity(Map("z" -> Array(0f, 0f), "a" -> Array(1f, 0f)))
-    assert(f.vectors.get("z").isEmpty)
+    assert(f.rowOf("z") == EmbeddingCosineSimilarity.NoRow)
+    assert(f.rowOf("a") != EmbeddingCosineSimilarity.NoRow)
     assert(f.sim("z", "a") == 0.0)
     assert(f.sim("z", "z") == 1.0)
+  }
+
+  test("cosine: every non-zero vector must have the same dimension") {
+    intercept[IllegalArgumentException] { // shorter vector
+      new EmbeddingCosineSimilarity(Map("a" -> Array(1f, 0f, 0f), "b" -> Array(0f, 1f)))
+    }
+    intercept[IllegalArgumentException] { // longer vector
+      new EmbeddingCosineSimilarity(Map("a" -> Array(1f, 0f), "b" -> Array(0f, 1f, 1f)))
+    }
+    // Zero vectors are out-of-vocabulary, so their length does not matter.
+    val f = new EmbeddingCosineSimilarity(Map("a" -> Array(1f, 0f), "z" -> Array(0f, 0f, 0f)))
+    assert(f.dim == 2)
+    assert(f.sim("a", "z") == 0.0)
   }
 
   test("3-gram extraction") {
