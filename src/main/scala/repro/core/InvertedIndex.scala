@@ -11,14 +11,6 @@ final class InvertedIndex private (
 
   /** Posting list for `token` (empty if the token is not in the vocabulary). */
   def get(token: String): Array[Int] = postings.getOrElse(token, InvertedIndex.Empty)
-
-  def contains(token: String): Boolean = postings.contains(token)
-
-  /** Number of distinct tokens |D|. */
-  def vocabularySize: Int = vocabulary.length
-
-  /** Aggregate posting length Σ|C| — the index's linear size (§VII-B). */
-  def totalPostings: Long = postings.valuesIterator.map(_.length.toLong).sum
 }
 
 object InvertedIndex {

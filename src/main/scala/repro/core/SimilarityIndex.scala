@@ -148,16 +148,30 @@ final class QGramPrefixIndex(vocab: Array[String], jaccard: JaccardQGramSimilari
   }
 }
 
-/** Index backed by precomputed (query token → neighbors) lists — used on
-  * Spark executors where the similarity table was computed once as a
-  * DataFrame, collected, and broadcast (§VI scale-out). Each list is sorted
-  * once here, so a probe returns the prefix with `sim ≥ α`.
+/** Index backed by precomputed (query token → neighbors) lists: a query's
+  * tokens probed once over the whole vocabulary — by the driver-side
+  * harness with a [[BruteForceSimilarityIndex]] or [[QGramPrefixIndex]], or
+  * on Spark as a DataFrame similarity table that is collected and broadcast
+  * (§VI scale-out). Each list is sorted once here, so a probe returns the
+  * prefix with `sim ≥ α`; [[restrictTo]] gives a partition its own view.
   */
-final class PrecomputedSimilarityIndex(lists: Map[String, Array[(String, Double)]])
-    extends SimilarityIndex {
+final class PrecomputedSimilarityIndex private (
+    lists: Map[String, Array[(String, Double)]], isSorted: Boolean) extends SimilarityIndex {
+
+  def this(lists: Map[String, Array[(String, Double)]]) = this(lists, isSorted = false)
+
   private val sortedLists: Map[String, Array[(String, Double)]] =
-    lists.map { case (q, xs) => q -> SimilarityIndex.sorted(xs.clone()) }
+    if (isSorted) lists
+    else lists.map { case (q, xs) => q -> SimilarityIndex.sorted(xs.clone()) }
 
   override def neighbors(q: String, alpha: Double): Array[(String, Double)] =
     sortedLists.getOrElse(q, Array.empty[(String, Double)]).takeWhile(_._2 >= alpha)
+
+  /** The lists cut down to tokens with postings in `inverted`, each in its
+    * order: the lists an index over that partition's vocabulary returns.
+    */
+  def restrictTo(inverted: InvertedIndex): PrecomputedSimilarityIndex =
+    new PrecomputedSimilarityIndex(
+      sortedLists.map { case (q, xs) => q -> xs.filter(n => inverted.get(n._1).nonEmpty) },
+      isSorted = true)
 }

@@ -75,6 +75,22 @@ final case class SearchStats(
 /** A complete answer for one query: top-k entries (descending score) + stats. */
 final case class SearchResult(topk: Seq[ScoredSet], stats: SearchStats)
 
+object SearchResult {
+  /** Merges per-partition answers into the answer over their union: the k
+    * best entries by (score desc, id asc); counts and memory summed; phase
+    * times are the per-partition maxima (the parallel makespan the paper
+    * reports). Exact because the global top-k lies in the union of the
+    * partitions' top-k lists with exact scores.
+    */
+  def merge(parts: Seq[SearchResult], k: Int): SearchResult = {
+    def maxOf(f: SearchStats => Double): Double = parts.map(p => f(p.stats)).maxOption.getOrElse(0.0)
+    SearchResult(
+      parts.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(k),
+      parts.map(_.stats).foldLeft(SearchStats())(_ + _)
+        .copy(refinementMs = maxOf(_.refinementMs), postprocMs = maxOf(_.postprocMs)))
+  }
+}
+
 /** Search parameters shared by Koios and the baselines.
   *
   * @param k           result size

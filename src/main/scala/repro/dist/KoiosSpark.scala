@@ -4,9 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 
-/** One partition's answer in encodable form. */
-final case class PartitionResult(topk: Seq[ScoredSet], stats: SearchStats)
-
 /** Distributed top-k semantic overlap search (§VI scale-out).
   *
   * Two engines:
@@ -15,8 +12,11 @@ final case class PartitionResult(topk: Seq[ScoredSet], stats: SearchStats)
   *     once as a DataFrame (scan + UDF + α filter), collected and shipped to
   *     executors as a [[PrecomputedSimilarityIndex]]; the repository is
   *     randomly repartitioned and the full Koios filter stack runs per
-  *     partition inside `mapPartitions`; per-partition top-k lists (with
-  *     finalized exact scores) are merged on the driver. Exact: the global
+  *     partition inside `mapPartitions` over the lists restricted to the
+  *     partition's tokens — the partition path of
+  *     [[repro.harness.PartitionedEngines]]; per-partition top-k lists (with
+  *     finalized exact scores) are merged on the driver by
+  *     [[SearchResult.merge]]. Exact: the global
   *     top-k is contained in the union of per-partition top-k lists. Unlike
   *     the paper we do not share a global θ_lb across partitions (no cheap
   *     shared state between Spark tasks) — this costs pruning power, never
@@ -58,7 +58,7 @@ object KoiosSpark {
     // Koios needs every returned score exact so partitions merge correctly.
     val p = params.copy(finalizeScores = true)
 
-    val perPartition: Seq[PartitionResult] = setsDf
+    val perPartition: Seq[SearchResult] = setsDf
       .select("id", "tokens")
       .as[SetRow]
       .repartition(numPartitions)
@@ -66,22 +66,16 @@ object KoiosSpark {
         val records = it.map(r => SetRecord(r.id, r.tokens.toArray)).toIndexedSeq
         if (records.isEmpty) Iterator.empty
         else {
-          val engine = new KoiosEngine(new SetCollection(records), bc.value)
-          Iterator.single {
-            val res = engine.search(q.toSeq, p)
-            PartitionResult(res.topk, res.stats)
-          }
+          val collection = new SetCollection(records)
+          val engine = new KoiosEngine(collection, bc.value.restrictTo(collection.inverted))
+          Iterator.single(engine.search(q.toSeq, p))
         }
       }
       .collect()
       .toSeq
 
-    val topk = perPartition.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(params.k)
-    val counts = perPartition.map(_.stats).foldLeft(SearchStats())(_ + _)
-    val stats = counts.copy(
-      refinementMs = if (perPartition.isEmpty) 0 else perPartition.map(_.stats.refinementMs).max,
-      postprocMs = if (perPartition.isEmpty) 0 else perPartition.map(_.stats.postprocMs).max)
-    (topk, stats)
+    val merged = SearchResult.merge(perPartition, params.k)
+    (merged.topk, merged.stats)
   }
 
   /** Pure-DataFrame filter/verify pipeline. Returns `(id, so)` of the top-k,

@@ -1,6 +1,6 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.SetRecord
 
 /** One repository row in DataFrame form. */
@@ -17,11 +17,6 @@ object SetStore {
   def toDF(spark: SparkSession, sets: Seq[SetRecord]): DataFrame = {
     import spark.implicits._
     sets.map(r => SetRow(r.id, r.tokens.toSeq)).toDF()
-  }
-
-  def toDS(spark: SparkSession, sets: Seq[SetRecord]): Dataset[SetRow] = {
-    import spark.implicits._
-    sets.map(r => SetRow(r.id, r.tokens.toSeq)).toDS()
   }
 
   /** Collects a repository DataFrame back to records (driver-side; tests). */

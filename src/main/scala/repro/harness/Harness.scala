@@ -11,11 +11,13 @@ import repro.data.SemanticDataset
 /** Driver-side scale-out mirror of §VI: the repository is randomly split
   * into `p` partitions, Koios (or a baseline) runs on each partition on a
   * thread pool — the paper's single-machine setup — and the per-partition
-  * top-k lists are merged. The Spark `mapPartitions` engine
-  * ([[repro.dist.KoiosSpark]]) is the distributed twin of this harness and
-  * is validated against it in tests; benches use this in-process version so
-  * reported response times measure the algorithm, not job-scheduling
-  * overhead.
+  * top-k lists are merged. The token stream belongs to the query, so each
+  * distinct query token is probed once over the whole vocabulary, and each
+  * partition reads those lists restricted to its own tokens. The Spark
+  * `mapPartitions` engine ([[repro.dist.KoiosSpark]]) is the distributed
+  * twin of this harness and is built the same way; benches use this
+  * in-process version so reported response times measure the algorithm,
+  * not job-scheduling overhead.
   */
 final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long = 42L,
                                simOverride: Option[TokenSimilarity] = None) {
@@ -30,40 +32,43 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
   }
   private val simFn: TokenSimilarity =
     simOverride.getOrElse(new EmbeddingCosineSimilarity(ds.embeddings))
-  // Jaccard gets the prefix-filter index (the paper's §VIII-B setup, where
-  // the token stream comes from set-similarity-join techniques); embeddings
-  // get the exact brute-force index (the Faiss substitute).
-  private val indexes: IndexedSeq[SimilarityIndex] = parts.map { c =>
+  // One index over the union of the partitions' vocabularies. Jaccard gets
+  // the prefix-filter index (the paper's §VIII-B setup, where the token
+  // stream comes from set-similarity-join techniques); embeddings get the
+  // exact brute-force index (the Faiss substitute).
+  private val index: SimilarityIndex = {
+    val vocab = parts.map(_.vocabulary).reduce(PartitionedEngines.union)
     simFn match {
-      case j: JaccardQGramSimilarity => new QGramPrefixIndex(c.vocabulary, j)
-      case _                         => new BruteForceSimilarityIndex(c.vocabulary, simFn)
+      case j: JaccardQGramSimilarity => new QGramPrefixIndex(vocab, j)
+      case _                         => new BruteForceSimilarityIndex(vocab, simFn)
     }
   }
 
-  private val pool = Executors.newFixedThreadPool(math.min(16, partitions))
+  private val pool = Executors.newFixedThreadPool(math.min(16, partitions), (r: Runnable) => {
+    val t = new Thread(r)
+    t.setDaemon(true)
+    t
+  })
   private implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
 
   def similarity: TokenSimilarity = simFn
 
-  /** Runs `engineOf(partition)` on every partition in parallel and merges.
-    * Returned stats: counts summed, phase times = per-partition maxima
-    * (parallel makespan), memory summed. `wallMs` is the measured wall clock.
+  /** Probes every distinct query token once (one pool task each), then runs
+    * `engineOf(partition, lists restricted to the partition)` on every
+    * partition in parallel and merges with [[SearchResult.merge]]. `wallMs`
+    * is the measured wall clock, probe included.
     */
   def run(query: Seq[String], params: KoiosParams,
           engineOf: (SetCollection, SimilarityIndex) => Seq[String] => SearchResult)
       : (Seq[ScoredSet], SearchStats, Double) = {
     val t0 = System.nanoTime()
-    val futures = parts.indices.map { p =>
-      Future(engineOf(parts(p), indexes(p))(query))
-    }
+    val probes = query.distinct.map(q => Future(q -> index.neighbors(q, params.alpha)))
+    val shared = new PrecomputedSimilarityIndex(Await.result(Future.sequence(probes), Duration.Inf).toMap)
+    val futures = parts.map(c => Future(engineOf(c, shared.restrictTo(c.inverted))(query)))
     val results = Await.result(Future.sequence(futures), Duration.Inf)
     val wallMs = (System.nanoTime() - t0) / 1e6
-    val topk = results.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(params.k)
-    val counts = results.map(_.stats).foldLeft(SearchStats())(_ + _)
-    val stats = counts.copy(
-      refinementMs = results.map(_.stats.refinementMs).max,
-      postprocMs = results.map(_.stats.postprocMs).max)
-    (topk, stats, wallMs)
+    val merged = SearchResult.merge(results, params.k)
+    (merged.topk, merged.stats, wallMs)
   }
 
   def runKoios(query: Seq[String], params: KoiosParams): (Seq[ScoredSet], SearchStats, Double) =
@@ -74,6 +79,21 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
     run(query, params, (c, i) => q => new BaselineEngine(c, i, useIubFilter).search(q, params))
 
   def shutdown(): Unit = pool.shutdown()
+}
+
+object PartitionedEngines {
+  /** The sorted union of two sorted, duplicate-free vocabularies, by one merge. */
+  private def union(a: Array[String], b: Array[String]): Array[String] = {
+    val out = new Array[String](a.length + b.length)
+    var i = 0; var j = 0; var n = 0
+    while (i < a.length || j < b.length) {
+      val c = if (i == a.length) 1 else if (j == b.length) -1 else a(i).compareTo(b(j))
+      if (c <= 0) { out(n) = a(i); i += 1; if (c == 0) j += 1 }
+      else { out(n) = b(j); j += 1 }
+      n += 1
+    }
+    java.util.Arrays.copyOf(out, n)
+  }
 }
 
 /** Aggregated per-benchmark statistics (averages over queries, as §VIII). */

@@ -128,7 +128,7 @@ object TableRuns {
 
     var (kSec, synSec, semSec) = (0.0, 0.0, 0.0)
     var (synTo, semTo) = (0, 0)
-    queries.foreach { q =>
+    try queries.foreach { q =>
       val (kr, kMs) = timed(koiosEng.runKoios(q.tokens.toSeq, params))
       kSec += kMs / 1000.0
       val thetaStar = if (kr._1.size >= params.k) kr._1.last.score else 0.0
@@ -136,7 +136,7 @@ object TableRuns {
       if (synR._2) synTo += 1 else synSec += synMs / 1000.0
       val (semR, semMs) = timed(smSem.thresholdSearchTimed(q.tokens.toSeq, thetaStar, timeoutMs))
       if (semR._2) semTo += 1 else semSec += semMs / 1000.0
-    }
+    } finally koiosEng.shutdown()
     val n = queries.length.toDouble
     val (pK, pSyn, pSem) = PaperNumbers.fuzzy
     val res = (kSec / n, if (n > synTo) synSec / (n - synTo) else timeoutMs / 1000.0,

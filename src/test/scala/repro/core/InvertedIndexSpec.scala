@@ -21,18 +21,18 @@ class InvertedIndexSpec extends AnyFunSuite {
   test("unknown token has empty postings") {
     val idx = InvertedIndex.build(records)
     assert(idx.get("zzz").isEmpty)
-    assert(!idx.contains("zzz"))
+    assert(!idx.vocabulary.contains("zzz"))
   }
 
   test("vocabulary is sorted and complete") {
     val idx = InvertedIndex.build(records)
     assert(idx.vocabulary.toSeq == Seq("a", "b", "c", "d", "e"))
-    assert(idx.vocabularySize == 5)
+    assert(idx.vocabulary.length == 5)
   }
 
   test("totalPostings equals the aggregate set size Σ|C| (§VII-B)") {
     val idx = InvertedIndex.build(records)
-    assert(idx.totalPostings == records.map(_.size).sum)
+    assert(idx.vocabulary.map(idx.get(_).length).sum == records.map(_.size).sum)
   }
 
   test("random corpus: membership equivalence") {
@@ -49,8 +49,8 @@ class InvertedIndexSpec extends AnyFunSuite {
 
   test("empty repository") {
     val idx = InvertedIndex.build(IndexedSeq.empty)
-    assert(idx.vocabularySize == 0)
-    assert(idx.totalPostings == 0)
+    assert(idx.vocabulary.length == 0)
+    assert(idx.vocabulary.map(idx.get(_).length).sum == 0)
   }
 
   test("SetRecord deduplicates tokens") {
